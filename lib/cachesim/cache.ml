@@ -167,17 +167,23 @@ let fill_slot t i la ~write =
   end
   else if was_dirty then Array.unsafe_set t.dstamp i (-1)
 
+(* The hit half of an access (after the tick): count it, refresh LRU,
+   mark a store dirty. *)
+let hit_slot t i ~write =
+  t.hits <- t.hits + 1;
+  Array.unsafe_set t.state ((2 * i) + 1) t.tick;
+  if write then mark_dirty t i
+
 (* The shared per-access transition. Fills bump the epoch: a fill may
    evict another line, so any resident-set snapshot taken earlier is
    stale. Hits only refresh LRU/dirty state and leave the epoch
-   alone. Returns the slot index on hit, -1 on miss (after filling). *)
+   alone. Returns the slot now holding the line: [i] on a hit,
+   [lnot i] when a miss filled slot [i]. *)
 let access_slot t la ~write =
   t.tick <- t.tick + 1;
   let i = find t la in
   if i >= 0 then begin
-    t.hits <- t.hits + 1;
-    Array.unsafe_set t.state ((2 * i) + 1) t.tick;
-    if write then mark_dirty t i;
+    hit_slot t i ~write;
     i
   end
   else begin
@@ -185,10 +191,31 @@ let access_slot t la ~write =
     t.epoch <- t.epoch + 1;
     let i = victim t la in
     fill_slot t i la ~write;
-    -1
+    lnot i
   end
 
 let access_line t la ~write = access_slot t la ~write >= 0
+
+let access_hinted t hints a ~write =
+  (* [hints.(la land mask)] is the slot that last held a line mapping
+     to that entry. Its packed tag equal to [la]'s live key proves the
+     slot is the one live slot holding [la] — what [find] would return
+     — so the hit is replayed there without the set scan. Otherwise
+     the full transition runs and the slot it leaves the line in is
+     recorded. *)
+  let la = line_addr t a in
+  let h = la land (Array.length hints - 1) in
+  let i = Array.unsafe_get hints h in
+  if i >= 0 && Array.unsafe_get t.state (2 * i) = live_key t la then begin
+    t.tick <- t.tick + 1;
+    hit_slot t i ~write;
+    true
+  end
+  else begin
+    let r = access_slot t la ~write in
+    Array.unsafe_set hints h (if r >= 0 then r else lnot r);
+    r >= 0
+  end
 
 let access t a ~write =
   if access_line t (line_addr t a) ~write then `Hit else `Miss

@@ -26,6 +26,16 @@ val access : t -> Addr.t -> write:bool -> [ `Hit | `Miss ]
     filled (LRU victim evicted), on hit LRU is refreshed. [write] marks
     the line dirty (write-back, write-allocate policy). *)
 
+val access_hinted : t -> int array -> Addr.t -> write:bool -> bool
+(** [access_hinted t hints a ~write] is [access t a ~write = `Hit],
+    with bit-identical state, counter and epoch transitions, plus a
+    slot hint: [hints] (power-of-two length, entries [-1] or in-bounds
+    slots of [t], written only by this function) remembers per line
+    address the slot the line last sat in. When the hinted slot's
+    packed tag still equals the line's live key the hit is replayed
+    there with no set scan; otherwise the full lookup runs and the
+    hint is updated. *)
+
 val access_run : t ->
   Addr.t -> stride:int -> n:int -> write:bool -> on_miss:(Addr.t -> unit) ->
   int

@@ -25,7 +25,13 @@ type t = {
      previous walk recorded, hence in bounds for the L2. *)
   mutable scratch : int array;
   mutable scratch_l2 : int array;
+  (* Per-L1 slot hints for the scalar [access] (see
+     [Cache.access_hinted]); -1 = no hint. *)
+  hint_i : int array;
+  hint_d : int array;
 }
+
+let hint_size = 256
 
 let a9_l1i = { Cache.name = "L1I"; size_bytes = 32 * 1024; ways = 4;
                line_size = 32 }
@@ -41,17 +47,19 @@ let create_custom ?(lat = default_latencies) ~l1i ~l1d ~l2 clock =
     l1d = Cache.create l1d;
     l2 = Cache.create l2;
     scratch = Array.make 256 0;
-    scratch_l2 = Array.make 256 (-1) }
+    scratch_l2 = Array.make 256 (-1);
+    hint_i = Array.make hint_size (-1);
+    hint_d = Array.make hint_size (-1) }
 
 let create ?lat clock = create_custom ?lat ~l1i:a9_l1i ~l1d:a9_l1d ~l2:a9_l2 clock
 
 let access t kind a =
   let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
+  let hints = match kind with Ifetch -> t.hint_i | Load | Store -> t.hint_d in
   let write = kind = Store in
   let cost =
-    match Cache.access l1 a ~write with
-    | `Hit -> t.lat.l1_hit
-    | `Miss ->
+    if Cache.access_hinted l1 hints a ~write then t.lat.l1_hit
+    else
       (* L1 line fill goes through L2 (write-allocate at both levels). *)
       (match Cache.access t.l2 a ~write with
        | `Hit -> t.lat.l1_hit + t.lat.l2_hit

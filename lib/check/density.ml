@@ -248,7 +248,7 @@ let victim (cfg : config) st tasks genv =
 
 (* {2 One cell} *)
 
-let run ?(config = default_config) () =
+let run ?(config = default_config) ?(on_board = ignore) () =
   let cfg = config in
   if cfg.vms < 1 then invalid_arg "Density.run: need at least one VM";
   if cfg.pcpus < 1 then invalid_arg "Density.run: need at least one pCPU";
@@ -267,8 +267,12 @@ let run ?(config = default_config) () =
           ring_admission = cfg.ring_admission }
       ~pcpus:cfg.pcpus
       ~mk_zynq:(fun cpu ->
-          Zynq.create ~observe:true ~fault_seed:(cfg.fault_seed + cpu)
-            ~fault_rate:cfg.fault_rate ~cpu ())
+          let z =
+            Zynq.create ~observe:true ~fault_seed:(cfg.fault_seed + cpu)
+              ~fault_rate:cfg.fault_rate ~cpu ()
+          in
+          on_board z;
+          z)
       ()
   in
   let tasks = Array.map (Smp.register_hw_task smp) density_task_set in

@@ -85,9 +85,11 @@ type report = {
   sim_cycles : int;
 }
 
-val run : ?config:config -> unit -> report
+val run : ?config:config -> ?on_board:(Zynq.t -> unit) -> unit -> report
 (** Boot, populate, run to guest exhaustion, collect. Deterministic in
-    the configuration. *)
+    the configuration. [on_board] sees each pCPU's board right after it
+    is created, before the kernel boots (tests use it to pick the
+    fast-path mode and to read the board's counters afterwards). *)
 
 type tagged = { tag : string; t_config : config }
 

@@ -1,15 +1,42 @@
-type t = { frames : (int, Bytes.t) Hashtbl.t }
+(* [frames] is the backing store. [memo_page]/[memo_frame] are a
+   direct-mapped memo in front of it, indexed by the low bits of the
+   page number: every word access would otherwise pay a polymorphic
+   hash and compare. Frames are never freed or replaced, so an entry
+   whose page number matches is always the current frame; a collision
+   just refills the entry from the table. *)
+type t = {
+  frames : (int, Bytes.t) Hashtbl.t;
+  memo_page : int array;       (* page number, -1 when empty *)
+  memo_frame : Bytes.t array;
+}
 
-let create () = { frames = Hashtbl.create 1024 }
+let memo_size = 64
+let memo_mask = memo_size - 1
+
+let create () =
+  { frames = Hashtbl.create 1024;
+    memo_page = Array.make memo_size (-1);
+    memo_frame = Array.make memo_size Bytes.empty }
+
+let frame_slow m page slot =
+  let b =
+    match Hashtbl.find_opt m.frames page with
+    | Some b -> b
+    | None ->
+      let b = Bytes.make Addr.page_size '\000' in
+      Hashtbl.replace m.frames page b;
+      b
+  in
+  Array.unsafe_set m.memo_page slot page;
+  Array.unsafe_set m.memo_frame slot b;
+  b
 
 let frame m a =
-  let key = Addr.page_of a in
-  match Hashtbl.find_opt m.frames key with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make Addr.page_size '\000' in
-    Hashtbl.replace m.frames key b;
-    b
+  let page = a lsr Addr.page_shift in
+  let slot = page land memo_mask in
+  if Array.unsafe_get m.memo_page slot = page then
+    Array.unsafe_get m.memo_frame slot
+  else frame_slow m page slot
 
 let read_u8 m a = Char.code (Bytes.get (frame m a) (Addr.page_offset a))
 
@@ -18,7 +45,7 @@ let write_u8 m a v =
 
 (* Fast path when the access does not straddle a frame boundary. *)
 let read_u32 m a =
-  let off = Addr.page_offset a in
+  let off = a land (Addr.page_size - 1) in
   if off <= Addr.page_size - 4 then Bytes.get_int32_le (frame m a) off
   else
     let b0 = read_u8 m a
@@ -30,7 +57,7 @@ let read_u32 m a =
       (Int32.shift_left (Int32.of_int b3) 24)
 
 let write_u32 m a v =
-  let off = Addr.page_offset a in
+  let off = a land (Addr.page_size - 1) in
   if off <= Addr.page_size - 4 then Bytes.set_int32_le (frame m a) off v
   else begin
     let x = Int32.to_int (Int32.logand v 0xFFFFFFl) in

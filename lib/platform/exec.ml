@@ -63,42 +63,10 @@ let touch_ref zynq ~priv kind r =
   end
 
 (* Translate the page at [page_vbase] (page-aligned) through the
-   micro-TLB. A hit replays exactly the state transition of the
-   TLB-hitting [Mmu.translate_exn] it stands in for (the permission
-   check is context-dependent only, and the context — TTBR, ASID,
-   DACR, privilege — is pinned in the entry; the TLB epoch pins slot
-   residency). *)
+   footprint micro-TLB; see [Zynq.memo_translate]. *)
 let translate_page zynq fast kind ~priv ~asid ~ttbr ~dacr page_vbase =
-  let vpage = page_vbase lsr Addr.page_shift in
-  let tlb = zynq.Zynq.tlb in
-  let e =
-    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
-  in
-  if
-    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
-    && e.m_dacr = dacr && e.m_priv = priv
-    && e.m_epoch = Tlb.epoch tlb
-  then begin
-    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + 1;
-    Tlb.refresh tlb e.m_slot;
-    e.m_pbase
-  end
-  else begin
-    fast.Fastpath.mtlb_misses <- fast.Fastpath.mtlb_misses + 1;
-    let pa = Mmu.translate_exn zynq.Zynq.mmu (mmu_kind kind) ~priv page_vbase in
-    (match Tlb.peek tlb ~asid ~vpage with
-     | Some slot ->
-       e.m_vpage <- vpage;
-       e.m_asid <- asid;
-       e.m_ttbr <- ttbr;
-       e.m_dacr <- dacr;
-       e.m_priv <- priv;
-       e.m_epoch <- Tlb.epoch tlb;
-       e.m_slot <- slot;
-       e.m_pbase <- Addr.page_base pa
-     | None -> e.m_vpage <- -1);
-    Addr.page_base pa
-  end
+  Zynq.memo_translate zynq fast.Fastpath.mtlb (mmu_kind kind) ~priv ~asid
+    ~ttbr ~dacr page_vbase
 
 (* Fast walk: translate per page (micro-TLB accelerated), then charge
    the whole within-page run of lines with one hierarchy dispatch. *)

@@ -44,7 +44,19 @@ type mentry = {
     slot so TLB statistics and LRU stay exact. *)
 
 val mtlb_size : int
-val mtlb_mask : int
+(** Entries of the footprint micro-TLB. *)
+
+val wtlb_size : int
+(** Entries of the word-access micro-TLB. *)
+
+type mtlb = {
+  entries : mentry array;
+      (** a power-of-two count, indexed by the low virtual-page bits *)
+  mutable hits : int;
+  mutable misses : int;
+}
+(** One micro-TLB: direct-mapped entries plus host-side hit/miss
+    counters. Probed and filled by {!Zynq.memo_translate}. *)
 
 type key = {
   k_fp : fp;
@@ -111,11 +123,10 @@ module Memos : Hashtbl.S with type key = key
     and the range lists on every {!Exec.run}). *)
 
 type t = {
-  mtlb : mentry array;
+  mtlb : mtlb;   (** footprint translations ({!Exec}) *)
+  wtlb : mtlb;   (** single-word accesses ({!Zynq.vread_u32} and friends) *)
   memos : prog Memos.t;
   mutable enabled : bool;
-  mutable mtlb_hits : int;
-  mutable mtlb_misses : int;
   mutable warm_replays : int;
   mutable partial_replays : int;
   mutable warm_records : int;
@@ -141,9 +152,13 @@ val find_prog : t -> key -> prog option
 
 val stats : t -> int * int * int * int
 (** [(mtlb_hits, mtlb_misses, warm_replays, warm_records)]:
-    micro-TLB hits/misses, fully-warm program replays, programs
+    footprint micro-TLB hits/misses (word accesses count apart, see
+    {!word_stats}), fully-warm program replays, programs
     compiled — host-side observability only; never feeds back into the
     simulation. *)
+
+val word_stats : t -> int * int
+(** [(hits, misses)] of the word-access micro-TLB; host-side only. *)
 
 val partial_replays : t -> int
 (** Visits that mixed warm run replays with at least one cold walk. *)

@@ -80,7 +80,56 @@ let phys_write_u32 t a v =
     Phys_mem.write_u32 t.mem a v
   end
 
-let vtranslate t access ~priv a = Mmu.translate_exn t.mmu access ~priv a
+(* Translate the page holding [virt] through the micro-TLB [m] and
+   return its physical page base. A hit replays exactly the state
+   transition of the TLB-hitting [Mmu.translate_exn] it stands in for:
+   the permission check depends only on the context (TTBR, ASID, DACR,
+   privilege), which is pinned in the entry, never on the access kind,
+   and the TLB epoch pins slot residency. A miss translates for real
+   (raising on a fault, which installs nothing) and records the slot
+   the translation now sits in. *)
+let memo_translate t (m : Fastpath.mtlb) access ~priv ~asid ~ttbr ~dacr
+    virt =
+  let vpage = virt lsr Addr.page_shift in
+  let tlb = t.tlb in
+  let es = m.Fastpath.entries in
+  let e = Array.unsafe_get es (vpage land (Array.length es - 1)) in
+  if
+    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
+    && e.m_dacr = dacr && e.m_priv = priv
+    && e.m_epoch = Tlb.epoch tlb
+  then begin
+    m.hits <- m.hits + 1;
+    Tlb.refresh tlb e.m_slot;
+    e.m_pbase
+  end
+  else begin
+    m.misses <- m.misses + 1;
+    (* The full address, so a fault reports it exactly. *)
+    let pa = Mmu.translate_exn t.mmu access ~priv virt in
+    (match Tlb.peek tlb ~asid ~vpage with
+     | Some slot ->
+       e.m_vpage <- vpage;
+       e.m_asid <- asid;
+       e.m_ttbr <- ttbr;
+       e.m_dacr <- dacr;
+       e.m_priv <- priv;
+       e.m_epoch <- Tlb.epoch tlb;
+       e.m_slot <- slot;
+       e.m_pbase <- Addr.page_base pa
+     | None -> e.m_vpage <- -1);
+    Addr.page_base pa
+  end
+
+let vtranslate t access ~priv a =
+  let fast = t.fast in
+  if fast.Fastpath.enabled then begin
+    let mmu = t.mmu in
+    memo_translate t fast.Fastpath.wtlb access ~priv ~asid:(Mmu.asid mmu)
+      ~ttbr:(Mmu.ttbr mmu) ~dacr:(Dacr.to_word (Mmu.dacr mmu)) a
+    lor (a land (Addr.page_size - 1))
+  end
+  else Mmu.translate_exn t.mmu access ~priv a
 
 let vread_u32 t ~priv a = phys_read_u32 t (vtranslate t Mmu.Read ~priv a)
 let vwrite_u32 t ~priv a v = phys_write_u32 t (vtranslate t Mmu.Write ~priv a) v

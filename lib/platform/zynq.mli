@@ -63,7 +63,20 @@ val vread_f32 : t -> priv:bool -> Addr.t -> float
 val vwrite_f32 : t -> priv:bool -> Addr.t -> float -> unit
 
 val vtranslate : t -> Mmu.access -> priv:bool -> Addr.t -> Addr.t
-(** Translation only (raises {!Mmu.Fault}); no data access charged. *)
+(** Translation only (raises {!Mmu.Fault}); no data access charged.
+    With the fast path enabled it goes through the board's word-access
+    micro-TLB ({!memo_translate} on [fast.wtlb]), which is exact. *)
+
+val memo_translate :
+  t -> Fastpath.mtlb -> Mmu.access -> priv:bool -> asid:int -> ttbr:int ->
+  dacr:int -> Addr.t -> Addr.t
+(** [memo_translate t m access ~priv ~asid ~ttbr ~dacr virt]
+    translates the page holding [virt] under the current context
+    ([asid]/[ttbr]/[dacr] must be the MMU's live values) and returns
+    the physical page base; a fault raises {!Mmu.Fault} for [virt]. An entry of [m] whose pinned context and
+    {!Tlb.epoch} stamp both match replays the TLB hit with
+    {!Tlb.refresh} instead of walking [Mmu.translate_exn]; simulated
+    state, TLB statistics and faults are bit-identical either way. *)
 
 (** {2 Physical (kernel / device) accesses} *)
 

@@ -95,18 +95,19 @@ let max_abs_error a b =
   !m
 
 let roundtrip_error samples =
-  (* Fused encode → decode → compare in one pass with no intermediate
-     buffers and both codec states in locals; produces exactly
-     [max_abs_error samples (decode (encode samples))] because the
-     decoder state depends only on the code sequence. The quantizer
-     bits b4/b2/b1 are essentially random on real signals, so the
-     obvious if-chains mispredict; the kernel instead uses all-ones /
-     all-zero masks ([x asr 62] of a value that is negative exactly
-     when the bit is set — magnitudes stay far below 2^61, so the
-     shift captures the sign). This verification loop dominates the
-     simulated DSP guests' host time. *)
+  (* Encode and compare in one pass with no intermediate buffers.
+     Only the encoder runs: the IMA decoder's state is a function of
+     the code sequence alone and follows exactly the encoder's own
+     predictor/index update, so after each sample the decoder's output
+     equals the encoder's predictor and the error is [s - predictor].
+     This is exactly [max_abs_error samples (decode (encode samples))].
+     The quantizer bits b4/b2/b1 are essentially random on real
+     signals, so the obvious if-chains mispredict; the kernel instead
+     uses all-ones / all-zero masks ([x asr 62] of a value that is
+     negative exactly when the bit is set — magnitudes stay far below
+     2^61, so the shift captures the sign). This verification loop
+     dominates the simulated DSP guests' host time. *)
   let ep = ref 0 and ei = ref 0 in
-  let dp = ref 0 and di = ref 0 in
   let m = ref 0 in
   for k = 0 to Array.length samples - 1 do
     let s = Array.unsafe_get samples k in
@@ -129,20 +130,7 @@ let roundtrip_error samples =
     let code = (sm land 8) lor (4 land m4) lor (2 land m2) lor (1 land m1) in
     ep := clamp (-32768) 32767 (!ep + ((delta lxor sm) - sm));
     ei := clamp 0 88 (!ei + Array.unsafe_get index_table code);
-    (* decode_sample, with the code bits expanded to masks the same
-       way. *)
-    let dstep = Array.unsafe_get step_table !di in
-    let c4 = -((code lsr 2) land 1) in
-    let c2 = -((code lsr 1) land 1) in
-    let c1 = -(code land 1) in
-    let ddelta =
-      (dstep lsr 3) + (dstep land c4)
-      + ((dstep lsr 1) land c2) + ((dstep lsr 2) land c1)
-    in
-    let dm = -((code lsr 3) land 1) in
-    dp := clamp (-32768) 32767 (!dp + ((ddelta lxor dm) - dm));
-    di := clamp 0 88 (!di + Array.unsafe_get index_table code);
-    let d = s - !dp in
+    let d = s - !ep in
     let d = (d lxor (d asr 62)) - (d asr 62) in
     if d > !m then m := d
   done;

@@ -29,6 +29,8 @@ val max_abs_error : int array -> int array -> int
     @raise Invalid_argument on length mismatch. *)
 
 val roundtrip_error : int array -> int
-(** [roundtrip_error s] = [max_abs_error s (decode (encode s))], fused
-    into a single pass with no intermediate buffers — the hot
-    verification step of the simulated DSP guests. *)
+(** [roundtrip_error s] = [max_abs_error s (decode (encode s))],
+    computed in a single encoder-only pass with no intermediate
+    buffers (the decoder's output always equals the encoder's
+    predictor) — the hot verification step of the simulated DSP
+    guests. *)

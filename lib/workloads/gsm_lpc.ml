@@ -5,12 +5,14 @@ let check frame =
   if Array.length frame <> frame_size then
     invalid_arg "Gsm_lpc: frame must be 160 samples"
 
-(* Preemphasis then windowed autocorrelation, lags 0..order. The
-   accumulators live in float-array cells: float-array loads, stores
-   and the arithmetic between them stay unboxed in straight-line
-   code, whereas float arguments to a local recursive function are
-   boxed at every call without flambda — and these loops run per GSM
-   frame per guest. *)
+(* Preemphasis then windowed autocorrelation, lags 0..order, in one
+   pass over the frame: sample [i] adds [pre.(i) * pre.(i - lag)] to
+   each lag's accumulator, so every lag still sums its products in
+   increasing [i] — the same additions in the same order as one loop
+   per lag, hence bit-identical. The nine accumulators (one per lag,
+   [order] = 8) are local float refs, which the compiler keeps unboxed
+   in registers; the first [order] samples feed only the lags they
+   reach. *)
 let autocorrelation frame =
   check frame;
   let pre = Array.make frame_size 0.0 in
@@ -21,15 +23,33 @@ let autocorrelation frame =
     in
     Array.unsafe_set pre i (x -. (0.86 *. prev))
   done;
-  let acf = Array.make (order + 1) 0.0 in
-  for lag = 0 to order do
-    for i = lag to frame_size - 1 do
-      Array.unsafe_set acf lag
-        (Array.unsafe_get acf lag
-         +. (Array.unsafe_get pre i *. Array.unsafe_get pre (i - lag)))
-    done
+  let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0
+  and a4 = ref 0.0 and a5 = ref 0.0 and a6 = ref 0.0 and a7 = ref 0.0
+  and a8 = ref 0.0 in
+  for i = 0 to order - 1 do
+    let x = Array.unsafe_get pre i in
+    a0 := !a0 +. (x *. x);
+    if i >= 1 then a1 := !a1 +. (x *. Array.unsafe_get pre (i - 1));
+    if i >= 2 then a2 := !a2 +. (x *. Array.unsafe_get pre (i - 2));
+    if i >= 3 then a3 := !a3 +. (x *. Array.unsafe_get pre (i - 3));
+    if i >= 4 then a4 := !a4 +. (x *. Array.unsafe_get pre (i - 4));
+    if i >= 5 then a5 := !a5 +. (x *. Array.unsafe_get pre (i - 5));
+    if i >= 6 then a6 := !a6 +. (x *. Array.unsafe_get pre (i - 6));
+    if i >= 7 then a7 := !a7 +. (x *. Array.unsafe_get pre (i - 7))
   done;
-  acf
+  for i = order to frame_size - 1 do
+    let x = Array.unsafe_get pre i in
+    a0 := !a0 +. (x *. x);
+    a1 := !a1 +. (x *. Array.unsafe_get pre (i - 1));
+    a2 := !a2 +. (x *. Array.unsafe_get pre (i - 2));
+    a3 := !a3 +. (x *. Array.unsafe_get pre (i - 3));
+    a4 := !a4 +. (x *. Array.unsafe_get pre (i - 4));
+    a5 := !a5 +. (x *. Array.unsafe_get pre (i - 5));
+    a6 := !a6 +. (x *. Array.unsafe_get pre (i - 6));
+    a7 := !a7 +. (x *. Array.unsafe_get pre (i - 7));
+    a8 := !a8 +. (x *. Array.unsafe_get pre (i - 8))
+  done;
+  [| !a0; !a1; !a2; !a3; !a4; !a5; !a6; !a7; !a8 |]
 
 (* Schur recursion: autocorrelation -> reflection coefficients. *)
 let reflection_coefficients frame =

@@ -103,6 +103,53 @@ let prop_probe_after_access =
        ignore (Cache.access c a ~write:false);
        Cache.probe c a)
 
+(* [Cache.access_hinted] against plain [Cache.access] on a twin cache:
+   random accesses over a few sets (so lines collide and get evicted)
+   mixed with range/full maintenance that strands hints. After every op
+   both caches must agree on the result, every statistic and the slot
+   of every line touched. A hint array smaller than the set count makes
+   unrelated lines share hint entries, the self-verifying tag case. *)
+let prop_access_hinted_matches_access =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ 12, map2 (fun l w -> `Access (l * 32, w)) (int_bound 95) bool;
+          1, map (fun l -> `Inval (l * 32)) (int_bound 95);
+          1, return `Inval_all;
+          1, return `Clean_all ])
+  in
+  QCheck2.Test.make ~name:"access_hinted = access" ~count:200
+    QCheck2.Gen.(pair (oneofl [ 4; 16 ]) (list_size (int_range 1 200) op))
+    (fun (hint_size, ops) ->
+       let plain = Cache.create small_cfg and hinted = Cache.create small_cfg in
+       let hints = Array.make hint_size (-1) in
+       List.for_all
+         (fun op ->
+            let same_result =
+              match op with
+              | `Access (a, write) ->
+                (Cache.access plain a ~write = `Hit)
+                = Cache.access_hinted hinted hints a ~write
+              | `Inval a ->
+                Cache.invalidate_range plain a 4
+                = Cache.invalidate_range hinted a 4
+              | `Inval_all ->
+                Cache.invalidate_all plain = Cache.invalidate_all hinted
+              | `Clean_all -> Cache.clean_all plain = Cache.clean_all hinted
+            in
+            let stats c =
+              [ Cache.hits c; Cache.misses c; Cache.epoch c;
+                Cache.valid_lines c; Cache.dirty_lines c ]
+            in
+            same_result
+            && stats plain = stats hinted
+            && List.for_all
+                 (fun l ->
+                    Cache.resident_slot plain (l * 32)
+                    = Cache.resident_slot hinted (l * 32))
+                 (List.init 96 Fun.id))
+         ops)
+
 (* --- TLB --- *)
 
 let entry ?(global = false) ppage = { Tlb.ppage; word = 0; global }
@@ -230,6 +277,7 @@ let suite =
       t "cache O(1) full maintenance" test_cache_gen_stamped_full_ops;
       t "cache large-range scan" test_cache_large_range_scan;
       QCheck_alcotest.to_alcotest prop_probe_after_access;
+      QCheck_alcotest.to_alcotest prop_access_hinted_matches_access;
       t "tlb hit/miss" test_tlb_hit_miss;
       t "tlb asid isolation" test_tlb_asid_isolation;
       t "tlb global entries" test_tlb_global;

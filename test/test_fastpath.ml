@@ -5,10 +5,13 @@
    to be bit-identical to the reference implementation: same simulated
    cycles and the same hit/miss counters in every cache level and the
    TLB, under any interleaving of footprint runs, cache maintenance,
-   TLB flushes, ASID switches and page-table edits. This test drives a
-   randomized op sequence through two fresh boards — one with
-   [Fastpath] enabled, one disabled — and compares the full counter
-   fingerprint after every op. *)
+   TLB flushes, ASID switches and page-table edits. The word accessors
+   ([Zynq.vread_u32]/[vwrite_u32], memoised through their own
+   micro-TLB when the fast path is on) make the same promise, down to
+   the value read and the fault raised. This test drives a randomized
+   op sequence through two fresh boards — one with [Fastpath]
+   enabled, one disabled — and compares the full counter fingerprint,
+   plus the last observed read value or fault, after every op. *)
 
 let check = Alcotest.check
 
@@ -28,6 +31,11 @@ type op =
       (* scratch page index, alternate physical frame index; flush —
          remaps virt to a *different* physical frame, the case where
          cache epochs stay untouched while the translation changes *)
+  | Word of int * int * bool
+      (* word access through [Zynq.v*]: target (0 read / 1 write data,
+         2 read / 3 write a scratch page), byte offset, privilege *)
+  | Dacr_cycle               (* kernel domain: Client -> No_access ->
+                                Manager -> Client *)
 
 let data_base = Address_map.kernel_data_base + 0x40000
 let code_base = Address_map.kernel_code_base + 0x8000
@@ -93,7 +101,11 @@ let gen_op =
            (int_bound (scratch_pages - 1)) bool;
       2, map3 (fun i p flush -> Pt_remap (i, p, flush))
            (int_bound (scratch_pages - 1)) (int_bound (scratch_frames - 1))
-           bool ])
+           bool;
+      4, map3 (fun k off priv -> Word (k, off * 4, priv))
+           (int_bound 3) (int_bound 0x1000)
+           (frequency [ 5, return true; 1, return false ]);
+      1, return Dacr_cycle ])
 
 let show_op = function
   | Run i -> Printf.sprintf "Run %d" i
@@ -106,6 +118,8 @@ let show_op = function
   | Inval_i -> "Inval_i"
   | Pt_toggle (i, f) -> Printf.sprintf "Pt_toggle (%d, %b)" i f
   | Pt_remap (i, p, f) -> Printf.sprintf "Pt_remap (%d, %d, %b)" i p f
+  | Word (k, o, p) -> Printf.sprintf "Word (%d, 0x%x, %b)" k o p
+  | Dacr_cycle -> "Dacr_cycle"
 
 let arb_ops =
   QCheck.make
@@ -114,19 +128,43 @@ let arb_ops =
 
 (* --- the two worlds --- *)
 
+(* A board, its kernel memory map and the last observed result: a
+   word read's value or a fault's exact payload. *)
 let make_board ~fast =
   let z = Zynq.create () in
   let km = Kmem.create z in
   Fastpath.set_enabled z.Zynq.fast fast;
-  (z, km)
+  (z, km, ref 0)
 
-let apply (z, km) op =
+let fault_code = function
+  | Mmu.Translation_fault a -> -1 - a
+  | Mmu.Domain_fault (a, d) -> -(1 lsl 40) - (a * 16) - d
+  | Mmu.Permission_fault a -> -(1 lsl 41) - a
+
+let apply (z, km, seen) op =
   match op with
   | Run i ->
     (* f6 touches scratch pages that may currently be unmapped; the
        fault itself (with its charged walk reads) must be identical on
        both boards, so it is part of the fingerprint, not an error. *)
-    (try ignore (Exec.run z ~priv:true pool.(i)) with Mmu.Fault _ -> ())
+    (try ignore (Exec.run z ~priv:true pool.(i))
+     with Mmu.Fault f -> seen := fault_code f)
+  | Word (k, off, priv) ->
+    let a =
+      if k < 2 then data_base + off
+      else scratch_page (off mod scratch_pages) + (off land 0xFFC)
+    in
+    (try
+       if k land 1 = 0 then seen := Int32.to_int (Zynq.vread_u32 z ~priv a)
+       else Zynq.vwrite_u32 z ~priv a (Int32.of_int (off + 1))
+     with Mmu.Fault f -> seen := fault_code f)
+  | Dacr_cycle ->
+    let d = Mmu.dacr z.Zynq.mmu in
+    Dacr.set d Kmem.dom_kernel
+      (match Dacr.get d Kmem.dom_kernel with
+       | Dacr.Client -> Dacr.No_access
+       | Dacr.No_access -> Dacr.Manager
+       | Dacr.Manager -> Dacr.Client)
   | Touch (k, off, len) ->
     let kind, base =
       match k with
@@ -171,9 +209,9 @@ let apply (z, km) op =
       Tlb.flush_page z.Zynq.tlb ~asid:(Mmu.asid z.Zynq.mmu)
         ~vpage:(virt lsr Addr.page_shift)
 
-let fingerprint (z, _) =
+let fingerprint (z, _, seen) =
   let h = z.Zynq.hier in
-  [ Clock.now z.Zynq.clock;
+  [ !seen; Clock.now z.Zynq.clock;
     Cache.hits (Hierarchy.l1i h); Cache.misses (Hierarchy.l1i h);
     Cache.hits (Hierarchy.l1d h); Cache.misses (Hierarchy.l1d h);
     Cache.hits (Hierarchy.l2 h); Cache.misses (Hierarchy.l2 h);
@@ -203,7 +241,7 @@ let test_equivalence =
 (* Determinized sanity check that the fast board actually takes the
    shortcuts (otherwise the property above would pass vacuously). *)
 let test_shortcuts_taken () =
-  let ((z, _) as b) = make_board ~fast:true in
+  let ((z, _, _) as b) = make_board ~fast:true in
   for _ = 1 to 50 do
     ignore (Exec.run z ~priv:true pool.(2))
   done;
@@ -248,7 +286,7 @@ let test_remap_invalidates_replay () =
 
 (* The warm replay must charge exactly the modelled warm cost. *)
 let test_replay_cycles_exact () =
-  let z, _ = make_board ~fast:true in
+  let z, _, _ = make_board ~fast:true in
   let fp = pool.(2) in
   ignore (Exec.run z ~priv:true fp);
   let w1 = Exec.run z ~priv:true fp in

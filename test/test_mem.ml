@@ -84,6 +84,24 @@ let test_mem_sparse () =
   Phys_mem.write_u8 m (512 * 1024 * 1024) 1;
   check ci "only touched frames materialise" 2 (Phys_mem.touched_frames m)
 
+(* The frame memo in front of the frame table is direct-mapped on the
+   low page bits: pages 64 apart share a memo entry and must still keep
+   their own contents, each materialised once. *)
+let test_mem_frame_memo_collision () =
+  let m = Phys_mem.create () in
+  let a = 0x7000 and b = 0x7000 + (64 * Addr.page_size) in
+  Phys_mem.write_u32 m (a + 16) 0x1111l;
+  Phys_mem.write_u32 m (b + 16) 0x2222l;
+  check (Alcotest.int32) "first page after the other evicted it" 0x1111l
+    (Phys_mem.read_u32 m (a + 16));
+  check (Alcotest.int32) "second page" 0x2222l (Phys_mem.read_u32 m (b + 16));
+  for i = 0 to 9 do
+    Phys_mem.write_u8 m (if i land 1 = 0 then a else b) i
+  done;
+  check ci "last byte written to the first page" 8 (Phys_mem.read_u8 m a);
+  check ci "last byte written to the second page" 9 (Phys_mem.read_u8 m b);
+  check ci "each frame counted once" 2 (Phys_mem.touched_frames m)
+
 let prop_u32_roundtrip =
   QCheck2.Test.make ~name:"u32 write/read roundtrip" ~count:300
     QCheck2.Gen.(pair (int_range 0 0xFFFFF) ui32)
@@ -118,5 +136,6 @@ let suite =
       t "f32" test_mem_f32;
       t "blocks" test_mem_blocks;
       t "sparse" test_mem_sparse;
+      t "frame memo collision" test_mem_frame_memo_collision;
       QCheck_alcotest.to_alcotest prop_u32_roundtrip;
       t "address map sanity" test_address_map_sanity ] )

@@ -73,6 +73,70 @@ let test_idle_until_next_event () =
   check cb "event fired" true !fired;
   check ci "clock at deadline" 500 (Clock.now z.Zynq.clock)
 
+(* --- word-access translation memo --- *)
+
+(* A page outside every region the kernel table section-maps, so it can
+   be mapped page by page, plus two physical frames to point it at. *)
+let memo_virt = 0x3000_0000
+let memo_frame i = 0x3010_0000 + (i * Addr.page_size)
+
+let memo_board () =
+  let z, km = board_with_kernel_map () in
+  Fastpath.set_enabled z.Zynq.fast true;
+  (z, km)
+
+let map_memo_page km i =
+  let pt = Kmem.kernel_pt km in
+  ignore (Page_table.unmap_page pt ~virt:memo_virt);
+  Page_table.map_page pt ~virt:memo_virt ~phys:(memo_frame i)
+    ~domain:Kmem.dom_kernel ~ap:Pte.Ap_priv ~global:true
+
+let test_word_memo_remap () =
+  let z, km = memo_board () in
+  Phys_mem.write_u32 z.Zynq.mem (memo_frame 0 + 8) 0xAAl;
+  Phys_mem.write_u32 z.Zynq.mem (memo_frame 1 + 8) 0xBBl;
+  map_memo_page km 0;
+  let a = memo_virt + 8 in
+  check (Alcotest.int32) "first frame" 0xAAl (Zynq.vread_u32 z ~priv:true a);
+  check (Alcotest.int32) "first frame again" 0xAAl
+    (Zynq.vread_u32 z ~priv:true a);
+  let hits, _ = Fastpath.word_stats z.Zynq.fast in
+  check cb "second read hit the memo" true (hits > 0);
+  map_memo_page km 1;
+  Tlb.flush_page z.Zynq.tlb ~asid:(Mmu.asid z.Zynq.mmu)
+    ~vpage:(memo_virt lsr Addr.page_shift);
+  check (Alcotest.int32) "remapped frame" 0xBBl
+    (Zynq.vread_u32 z ~priv:true a);
+  check ci "translates to the new frame" (memo_frame 1 + 8)
+    (Zynq.vtranslate z Mmu.Read ~priv:true a)
+
+let test_word_memo_domain_fault () =
+  let z, _ = memo_board () in
+  let a = Address_map.kernel_data_base + 0x500 in
+  Zynq.vwrite_u32 z ~priv:true a 7l;
+  check (Alcotest.int32) "memoised read" 7l (Zynq.vread_u32 z ~priv:true a);
+  let dacr = Mmu.dacr z.Zynq.mmu in
+  Dacr.set dacr Kmem.dom_kernel Dacr.No_access;
+  (match Zynq.vread_u32 z ~priv:true a with
+   | exception Mmu.Fault (Mmu.Domain_fault (fa, d)) ->
+     check ci "fault address" a fa;
+     check ci "fault domain" Kmem.dom_kernel d
+   | _ -> Alcotest.fail "expected a domain fault after DACR No_access");
+  Dacr.set dacr Kmem.dom_kernel Dacr.Client;
+  check (Alcotest.int32) "access restored" 7l (Zynq.vread_u32 z ~priv:true a)
+
+let test_word_memo_permission_fault () =
+  let z, _ = memo_board () in
+  let a = Address_map.kernel_data_base + 0x700 in
+  ignore (Zynq.vread_u32 z ~priv:true a);
+  ignore (Zynq.vread_u32 z ~priv:true a);
+  (* Same page, same context except the privilege: must not reuse the
+     privileged entry. *)
+  match Zynq.vread_u32 z ~priv:false (a + 4) with
+  | exception Mmu.Fault (Mmu.Permission_fault fa) ->
+    check ci "fault address" (a + 4) fa
+  | _ -> Alcotest.fail "expected a permission fault for a user access"
+
 (* --- Exec --- *)
 
 let kernel_fp ?(reads = []) ?(writes = []) ?(base_cycles = 0) len =
@@ -137,6 +201,9 @@ let suite =
       t "user access blocked" test_zynq_user_access_blocked;
       t "mmio routing" test_zynq_mmio_routing;
       t "mmio bus cost" test_zynq_mmio_charges_bus_time;
+      t "word memo sees a remap" test_word_memo_remap;
+      t "word memo domain fault" test_word_memo_domain_fault;
+      t "word memo permission fault" test_word_memo_permission_fault;
       t "idle until next event" test_idle_until_next_event;
       t "exec cold vs warm" test_exec_charges_issue_and_memory;
       t "exec data ranges" test_exec_data_ranges;

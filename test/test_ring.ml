@@ -334,6 +334,51 @@ let test_density_transition_gate () =
     (Printf.sprintf "ring ABI cuts transitions >= 4x (got %.2fx)" ratio)
     true (ratio >= 4.0)
 
+(* The ring path in both fast-path modes: a 2-pCPU fleet run with the
+   word-access memos and footprint replay on must match the reference
+   walk in simulated cycles, every TLB and cache counter of both boards
+   and every completion status the report tallies. *)
+let test_density_fastpath_identity () =
+  let run fast =
+    let boards = ref [] in
+    let r =
+      Density.run
+        ~config:
+          { Density.default_config with
+            Density.vms = 8; pcpus = 2; jobs_per_vm = 16; check = true }
+        ~on_board:(fun z ->
+            Fastpath.set_enabled z.Zynq.fast fast;
+            boards := z :: !boards)
+        ()
+    in
+    let counters z =
+      let c = Hierarchy.counts z.Zynq.hier in
+      [ Tlb.hits z.Zynq.tlb; Tlb.misses z.Zynq.tlb;
+        c.Hierarchy.l1i_hits; c.l1i_misses; c.l1d_hits; c.l1d_misses;
+        c.l2_hits; c.l2_misses; Clock.now z.Zynq.clock ]
+    in
+    let word_hits =
+      List.fold_left
+        (fun a z -> a + fst (Fastpath.word_stats z.Zynq.fast)) 0 !boards
+    in
+    (r, List.rev_map counters !boards, word_hits)
+  in
+  let statuses (r : Density.report) =
+    [ r.jobs_ok; r.jobs_busy; r.jobs_failed; r.victim_ok; r.victim_dropped;
+      r.victim_virqs ]
+  in
+  let rf, cf, hits = run true and rr, cr, _ = run false in
+  Alcotest.check ci "two boards" 2 (List.length cf);
+  Alcotest.check cb "word accesses hit the memo" true (hits > 0);
+  Alcotest.check ci "sim cycles" rr.Density.sim_cycles rf.Density.sim_cycles;
+  Alcotest.check
+    Alcotest.(list (list int))
+    "TLB, cache and clock counters per board" cr cf;
+  Alcotest.check
+    Alcotest.(list int)
+    "completion statuses" (statuses rr) (statuses rf);
+  Alcotest.check cb "whole report identical" true (rf = rr)
+
 let test_density_deterministic () =
   let a = Density.run ~config:(density_cfg Density.V2) () in
   let b = Density.run ~config:(density_cfg Density.V2) () in
@@ -420,6 +465,7 @@ let suite =
       t "flat-cost create at 256 guests" `Quick test_flat_cost_create_256;
       t "density transition gate" `Quick test_density_transition_gate;
       t "density determinism" `Quick test_density_deterministic;
+      t "density fast-path identity" `Quick test_density_fastpath_identity;
       t "deadline admission order" `Quick test_deadline_admission_order;
       t "fifo admission ignores deadline keys" `Quick
         test_fifo_admission_ignores_deadlines ] )

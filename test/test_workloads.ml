@@ -152,6 +152,22 @@ let prop_adpcm_decoder_matches_encoder_state =
             enc.Adpcm.predictor = out)
          pcm)
 
+(* The encoder-only [roundtrip_error] against the definition it
+   shortcuts, on full-scale noise (clamping, fast adaptation) and on
+   speech-like input (correlated, slowly varying steps). *)
+let prop_adpcm_roundtrip_error =
+  QCheck2.Test.make ~name:"ADPCM roundtrip_error = max error of decode(encode)"
+    ~count:100
+    QCheck2.Gen.(pair bool int)
+    (fun (speech, seed) ->
+       let rng = Rng.create ~seed in
+       let pcm =
+         if speech then Signal.speech_like rng 480
+         else Signal.noise rng ~amplitude:32767 480
+       in
+       Adpcm.roundtrip_error pcm
+       = Adpcm.max_abs_error pcm (Adpcm.decode (Adpcm.encode pcm)))
+
 let test_adpcm_silence () =
   let silent = Array.make 64 0 in
   let decoded = Adpcm.decode (Adpcm.encode silent) in
@@ -185,6 +201,58 @@ let test_gsm_prediction_gain () =
   let residual = Gsm_lpc.residual_energy frame in
   check cb "residual below raw energy" true (residual < acf0);
   check cb "residual positive" true (residual >= 0.0)
+
+(* Reference for the one-pass autocorrelation: the per-lag double
+   loop it replaced, followed by the same Schur recursion. The one-pass
+   kernel keeps every lag's summation order, so the coefficients must
+   match bit for bit. *)
+let reference_reflection_coefficients frame =
+  let n = Array.length frame and order = 8 in
+  let pre =
+    Array.init n (fun i ->
+        let prev = if i = 0 then 0.0 else float_of_int frame.(i - 1) in
+        float_of_int frame.(i) -. (0.86 *. prev))
+  in
+  let acf = Array.make (order + 1) 0.0 in
+  for lag = 0 to order do
+    for i = lag to n - 1 do
+      acf.(lag) <- acf.(lag) +. (pre.(i) *. pre.(i - lag))
+    done
+  done;
+  let r = Array.make order 0.0 in
+  if acf.(0) <= 0.0 then r
+  else begin
+    let p = Array.copy acf in
+    let k = Array.make (order + 1) 0.0 in
+    Array.blit acf 1 k 1 order;
+    (try
+       for n = 0 to order - 1 do
+         if p.(0) < Float.abs k.(n + 1) then raise Exit;
+         let refl = -.k.(n + 1) /. p.(0) in
+         r.(n) <- refl;
+         p.(0) <- p.(0) +. (refl *. k.(n + 1));
+         for m = 1 to order - 1 - n do
+           p.(m) <- p.(m + 1) +. (refl *. k.(m + n + 1));
+           k.(m + n + 1) <- k.(m + n + 1) +. (refl *. p.(m + 1))
+         done
+       done
+     with Exit -> ());
+    r
+  end
+
+let prop_gsm_reflection_bitwise =
+  QCheck2.Test.make ~name:"GSM-LPC reflection coefficients bit-identical"
+    ~count:100
+    QCheck2.Gen.(pair bool int)
+    (fun (speech, seed) ->
+       let rng = Rng.create ~seed in
+       let frame =
+         if speech then Signal.speech_like rng Gsm_lpc.frame_size
+         else Signal.noise rng ~amplitude:32767 Gsm_lpc.frame_size
+       in
+       let bits = Array.map Int64.bits_of_float in
+       bits (Gsm_lpc.reflection_coefficients frame)
+       = bits (reference_reflection_coefficients frame))
 
 let test_gsm_silence () =
   check cb "silent frame yields zero LARs" true
@@ -401,10 +469,12 @@ let suite =
       t "adpcm sine quality" test_adpcm_sine_quality;
       t "adpcm code range" test_adpcm_codes_in_range;
       QCheck_alcotest.to_alcotest prop_adpcm_decoder_matches_encoder_state;
+      QCheck_alcotest.to_alcotest prop_adpcm_roundtrip_error;
       t "adpcm silence" test_adpcm_silence;
       t "gsm frame size" test_gsm_frame_size_check;
       t "gsm reflection bounds" test_gsm_reflection_bounds;
       t "gsm prediction gain" test_gsm_prediction_gain;
+      QCheck_alcotest.to_alcotest prop_gsm_reflection_bitwise;
       t "gsm silence" test_gsm_silence;
       t "gsm rpe roundtrip quality" test_gsm_rpe_roundtrip_quality;
       t "gsm rpe frame structure" test_gsm_rpe_frame_structure;
